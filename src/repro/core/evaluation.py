@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.core.metrics import ppw
 from repro.core.states import EvaluationState, evaluation_states
 from repro.demand import ResourceDemand
-from repro.engine.batch import resolve_engine, run_batch
+from repro.engine.batch import run_batch
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.hardware.specs import ServerSpec
@@ -119,7 +119,6 @@ def evaluate_server(
     simulator: Simulator | None = None,
     trim: float = DEFAULT_TRIM,
     backend=None,
-    engine: "str | None" = None,
     allow_partial: bool = False,
     states: "list[EvaluationState] | None" = None,
     on_run=None,
@@ -132,11 +131,10 @@ def evaluate_server(
 
     ``backend`` optionally routes the ten runs through a batch executor
     such as :class:`repro.fleet.FleetBackend` (parallel and/or cached);
-    locally the vectorized batch engine is the default, with
-    ``engine="serial"`` (or ``REPRO_ENGINE=serial``) selecting the
-    one-run-at-a-time simulator.  Every path yields bit-identical rows —
-    the simulator seeds each run from ``(seed, program label)``, never
-    from execution order.
+    locally they run as one list through
+    :func:`~repro.engine.batch.run_batch`.  Both paths yield
+    bit-identical rows — the simulator seeds each run from ``(seed,
+    program label)``, never from execution order.
 
     With ``allow_partial=True`` a state whose run failed (a dead worker,
     a quarantined trace) is dropped into :attr:`EvaluationResult.missing`
@@ -165,10 +163,8 @@ def evaluate_server(
     items = [_state_runnable(state) for state in states]
     if backend is not None:
         runs = backend.map_runs(simulator, items)
-    elif resolve_engine(engine) == "batch":
-        runs = run_batch(simulator, items)
     else:
-        runs = [simulator.run(item) for item in items]
+        runs = run_batch(simulator, items)
     rows = []
     missing: list[str] = []
     last_error: "Exception | None" = None

@@ -5,23 +5,16 @@ Binds a workload to a server, synthesises the per-second true state
 models, and returns traces:
 
 * :mod:`repro.engine.trace` — sample and result containers.
-* :mod:`repro.engine.simulator` — the per-run simulator.
-* :mod:`repro.engine.batch` — the vectorized batch engine (bit-identical
-  to the serial simulator over run lists, several times faster).
+* :mod:`repro.engine.simulator` — the simulator and its trace generator.
+* :mod:`repro.engine.batch` — run lists through that same generator,
+  with unrunnable configurations reported in place.
 * :mod:`repro.engine.experiment` — multi-program campaigns with the CSV
   merge/extract pipeline of Section V-C2.
 """
 
 from repro.engine.trace import RunResult
 from repro.engine.simulator import Simulator
-from repro.engine.batch import (
-    BatchEngine,
-    BatchResult,
-    DEFAULT_ENGINE,
-    ENGINES,
-    resolve_engine,
-    run_batch,
-)
+from repro.engine.batch import BatchEngine, BatchResult, run_batch
 from repro.engine.experiment import Campaign, CampaignResult, ProgramMeasurement
 
 __all__ = [
@@ -29,9 +22,6 @@ __all__ = [
     "Simulator",
     "BatchEngine",
     "BatchResult",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "resolve_engine",
     "run_batch",
     "Campaign",
     "CampaignResult",

@@ -1,9 +1,10 @@
-"""The per-run discrete-time simulator.
+"""The discrete-time simulator and its trace generator.
 
 For each second of a bound workload's runtime the simulator evaluates the
 true system power (component model + per-run phase ripple), feeds it to
 the meter, samples resident memory, and collects PMU counters at the 10 s
-interval the paper uses.
+interval the paper uses.  ``Simulator.run`` generates one run;
+:mod:`repro.engine.batch` runs whole lists through the same generator.
 
 Determinism: every run derives its random stream from ``(seed, program
 label)``, so results are independent of the order in which runs execute —
@@ -24,7 +25,7 @@ from repro.errors import SimulationError
 from repro.hardware.calibration import calibrated_power_model
 from repro.hardware.cpu import CpuSubsystem
 from repro.hardware.memory import MemorySubsystem
-from repro.hardware.pmu import Pmu
+from repro.hardware.pmu import Pmu, PmuSample
 from repro.hardware.power import SystemPowerModel
 from repro.hardware.specs import ServerSpec
 from repro.metering.meter import MeterSpec, WT210, Wt210Meter
@@ -142,120 +143,128 @@ class Simulator:
             Dynamic-power idiosyncrasy override; defaults to the
             workload's own factor (1.0 for a bare demand).
         """
-        label = getattr(workload, "label", None) or getattr(
-            workload, "program", type(workload).__name__
-        )
-        with obs.timed("sim.run", server=self.server.name, program=label):
-            result = self._run(workload, t_start_s, power_factor)
-        obs.inc("sim.run.samples", float(result.times_s.size))
-        obs.inc("sim.pmu.samples", float(len(result.pmu_samples)))
-        return result
+        demand, factor = self._bind(workload, power_factor)
+        return self._generate(demand, factor, t_start_s)
 
-    def _run(
+    def _bind(
         self,
         workload: "Workload | ResourceDemand",
-        t_start_s: float,
-        power_factor: "float | None",
-    ) -> RunResult:
-        """The uninstrumented simulation (the body of :meth:`run`)."""
+        power_factor: "float | None" = None,
+    ) -> "tuple[ResourceDemand, float]":
+        """The demand and dynamic-power factor ``workload`` runs with.
+
+        Raises :class:`~repro.errors.WorkloadError` when the workload
+        cannot run on this server (memory fit, process-count rules).
+        """
         if isinstance(workload, ResourceDemand):
-            demand = workload
-            factor = 1.0 if power_factor is None else power_factor
-        else:
-            demand = workload.bind(self.server)
-            factor = (
-                workload.power_factor() if power_factor is None else power_factor
-            )
+            return workload, 1.0 if power_factor is None else power_factor
+        demand = workload.bind(self.server)
+        if power_factor is None:
+            power_factor = workload.power_factor()
+        return demand, power_factor
 
-        self._cpu.bind(demand)
-        activity = self._cpu.activity()
-        traffic = self._memory.traffic(demand, self._cpu.placement)
-        base_watts = self.power_model.power_watts(
-            demand,
-            activity,
-            traffic,
-            idiosyncrasy=factor,
-            include_comm=not self.externalize_comm,
-        )
+    def _generate(
+        self, demand: ResourceDemand, factor: float, t_start_s: float
+    ) -> RunResult:
+        """Generate the traces of one bound run.
 
-        n_seconds = max(int(math.ceil(demand.duration_s)), 1)
-        times = t_start_s + np.arange(n_seconds, dtype=float)
-        rng = _run_seed(self.seed, demand.program)
-
-        # Slow phase ripple on the dynamic component (program phases:
-        # factorisation panels, solver sweeps) — zero when idle.
-        dynamic = base_watts - self.power_model.coefficients.p_idle
-        if dynamic > 0:
-            period = float(rng.uniform(20.0, 60.0))
-            phase = float(rng.uniform(0.0, 2.0 * math.pi))
-            ripple = (
-                _RIPPLE_FRACTION
-                * dynamic
-                * np.sin(2.0 * math.pi * np.arange(n_seconds) / period + phase)
-            )
-        else:
-            ripple = np.zeros(n_seconds)
-        # Start-up/tear-down transients scale the dynamic component (and
-        # the ripple riding on it); idle has no dynamic power to ramp.
-        shape = (
-            _transient_shape(n_seconds, rng)
-            if dynamic > 0
-            else np.ones(n_seconds)
-        )
-        idle_watts = self.power_model.coefficients.p_idle
-        true_watts = idle_watts + shape * (dynamic + ripple)
-
-        meter = Wt210Meter(self.meter_spec, seed=int(rng.integers(2**31)))
-        measured = meter.sample_series(true_watts)
-
-        sampler = MemorySampler(self.server, seed=int(rng.integers(2**31)))
-        # Resident memory follows the same transient (allocation at start,
-        # release at exit), on top of the OS baseline.
-        os_mb = self._memory.os_baseline_mb
-        resident = os_mb + shape * (traffic.resident_mb - os_mb)
-        memory_mb = sampler.sample_series(resident)
-
-        # PMU counters are always reported per standard 10 s collection
-        # window (rates x interval), even for runs shorter than one window
-        # — mixing window lengths would conflate a program's activity rate
-        # with its runtime.
-        pmu_samples = []
-        n_pmu = max(int(n_seconds // PMU_INTERVAL_S), 1)
-        interval = PMU_INTERVAL_S
-        for k in range(n_pmu):
-            sample = self._pmu.sample(
+        The run draws from its own ``(seed, program)`` stream in a fixed
+        order — ripple period and phase, transient levels, the meter
+        seed, the memory-sampler seed, then every PMU window's noise in
+        one ``(windows, 6)`` block — so a run's traces do not depend on
+        which runs execute before it or alongside it.
+        """
+        with obs.timed(
+            "sim.run", server=self.server.name, program=demand.program
+        ):
+            self._cpu.bind(demand)
+            activity = self._cpu.activity()
+            traffic = self._memory.traffic(demand, self._cpu.placement)
+            base_watts = self.power_model.power_watts(
                 demand,
                 activity,
                 traffic,
-                time_s=t_start_s + k * PMU_INTERVAL_S,
-                interval_s=interval,
-            )
-            # Activity counters ramp with the program's transients, just
-            # like its power does; the allocated core count does not.
-            window = shape[int(k * PMU_INTERVAL_S) : int((k + 1) * PMU_INTERVAL_S)]
-            window_scale = float(window.mean()) if window.size else 1.0
-            noise = 1.0 + _PMU_NOISE * rng.standard_normal(6)
-            vec = sample.as_vector() * noise * window_scale
-            pmu_samples.append(
-                type(sample)(
-                    time_s=sample.time_s,
-                    interval_s=sample.interval_s,
-                    working_core_num=float(demand.nprocs),
-                    instruction_num=float(max(vec[1], 0.0)),
-                    l2_cache_hit=float(max(vec[2], 0.0)),
-                    l3_cache_hit=float(max(vec[3], 0.0)),
-                    memory_read_times=float(max(vec[4], 0.0)),
-                    memory_write_times=float(max(vec[5], 0.0)),
-                )
+                idiosyncrasy=factor,
+                include_comm=not self.externalize_comm,
             )
 
-        return RunResult(
-            demand=demand,
-            t_start_s=t_start_s,
-            times_s=times,
-            true_watts=true_watts,
-            measured_watts=measured,
-            memory_mb=memory_mb,
-            pmu_samples=tuple(pmu_samples),
-            power_factor=factor,
-        )
+            n_seconds = max(int(math.ceil(demand.duration_s)), 1)
+            times = t_start_s + np.arange(n_seconds, dtype=float)
+            rng = _run_seed(self.seed, demand.program)
+
+            # Slow phase ripple on the dynamic component (program phases:
+            # factorisation panels, solver sweeps), and start-up/tear-down
+            # transients scaling it — idle has no dynamic power to ripple
+            # or ramp.
+            idle_watts = self.power_model.coefficients.p_idle
+            dynamic = base_watts - idle_watts
+            if dynamic > 0:
+                period = float(rng.uniform(20.0, 60.0))
+                phase = float(rng.uniform(0.0, 2.0 * math.pi))
+                ripple = (
+                    _RIPPLE_FRACTION
+                    * dynamic
+                    * np.sin(
+                        2.0 * math.pi * np.arange(n_seconds) / period + phase
+                    )
+                )
+                shape = _transient_shape(n_seconds, rng)
+            else:
+                ripple = np.zeros(n_seconds)
+                shape = np.ones(n_seconds)
+            true_watts = idle_watts + shape * (dynamic + ripple)
+
+            meter = Wt210Meter(self.meter_spec, seed=int(rng.integers(2**31)))
+            measured = meter.sample_series(true_watts)
+
+            sampler = MemorySampler(
+                self.server, seed=int(rng.integers(2**31))
+            )
+            # Resident memory follows the same transient (allocation at
+            # start, release at exit), on top of the OS baseline.
+            os_mb = self._memory.os_baseline_mb
+            resident = os_mb + shape * (traffic.resident_mb - os_mb)
+            memory_mb = sampler.sample_series(resident)
+
+            # PMU counters per standard 10 s collection window (rates x
+            # interval), even for runs shorter than one window — mixing
+            # window lengths would conflate a program's activity rate
+            # with its runtime.  Counters depend on the steady demand,
+            # not the window clock, so one synthesised sample fans out
+            # over every window.  Activity counters ramp with the
+            # program's transients, as its power does; the allocated
+            # core count does not.
+            interval = PMU_INTERVAL_S
+            width = int(interval)
+            n_pmu = max(n_seconds // width, 1)
+            base_vec = self._pmu.sample(
+                demand, activity, traffic, time_s=0.0, interval_s=interval
+            ).as_vector()
+            if n_seconds >= width:
+                windows = shape[: n_pmu * width].reshape(n_pmu, width)
+                scales = windows.mean(axis=1)
+            else:
+                scales = np.array([shape.mean()])
+            noise = 1.0 + _PMU_NOISE * rng.standard_normal((n_pmu, 6))
+            rows = np.maximum((base_vec * noise) * scales[:, None], 0.0)
+            nprocs = float(demand.nprocs)
+            pmu_samples = tuple(
+                PmuSample(
+                    t_start_s + k * interval, interval, nprocs, *v[1:]
+                )
+                for k, v in enumerate(rows.tolist())
+            )
+
+            result = RunResult(
+                demand=demand,
+                t_start_s=t_start_s,
+                times_s=times,
+                true_watts=true_watts,
+                measured_watts=measured,
+                memory_mb=memory_mb,
+                pmu_samples=pmu_samples,
+                power_factor=factor,
+            )
+        obs.inc("sim.run.samples", float(n_seconds))
+        obs.inc("sim.pmu.samples", float(len(pmu_samples)))
+        return result

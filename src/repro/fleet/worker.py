@@ -196,9 +196,9 @@ def execute_chunk(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
     """Run a batch of job payloads in one worker round-trip.
 
     The chunked pool target: payloads are grouped by (server, seed,
-    placement) and each group is evaluated through the vectorized batch
-    engine (:func:`repro.engine.batch.run_batch`), which is bit-identical
-    to per-job execution while amortising the pickle/dispatch overhead.
+    placement) and each group is evaluated as one run list
+    (:func:`repro.engine.batch.run_batch`), which is bit-identical to
+    per-job execution while amortising the pickle/dispatch overhead.
 
     Returns ``{"entries", "wall_s", "worker", "metrics"}`` where each
     entry is ``{"job_id", "result": RunResult | None, "error":

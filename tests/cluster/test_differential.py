@@ -4,7 +4,7 @@ The ten evaluation states, run as single-node cluster jobs on a 1-node
 machine, must produce rows *bit-identical* to
 :func:`repro.core.evaluation.evaluate_server` — same trimmed-mean watts,
 same GFLOPS, same memory, same durations — under every execution path
-(serial simulator, vectorized batch engine, fleet process pool).
+(local run list, fleet process pool).
 Digest equality is the whole claim: the cluster layer adds composition,
 never new per-node physics.
 """
@@ -35,9 +35,8 @@ def one_node_result(server_name, **kwargs):
     )
 
 
-@pytest.mark.parametrize("engine", ["serial", "batch"])
-def test_bit_identical_to_evaluate_server(engine, xeon_digest):
-    result = one_node_result("Xeon-E5462", engine=engine)
+def test_bit_identical_to_evaluate_server(xeon_digest):
+    result = one_node_result("Xeon-E5462")
     assert result.rows_digest() == xeon_digest
 
 

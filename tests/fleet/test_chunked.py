@@ -1,8 +1,8 @@
 """Chunked fleet execution: batching jobs per worker round-trip.
 
 Chunking is the default; ``chunk_size=1`` restores per-job dispatch.
-The contract: identical results either way (the chunk body runs the
-batch engine, which is bit-identical to serial), identical retry
+The contract: identical results either way (the chunk body is one run
+list, bit-identical to single runs), identical retry
 arithmetic (the chunk pass counts as attempt 1, retries go out as
 single jobs), and identical event/cache behaviour.
 """

@@ -181,10 +181,13 @@ class TestCliObs:
         assert code == 0
         assert "trace:" in err
         records = obs.load_jsonl(trace)
-        # The default batch engine evaluates the ten states in one span.
+        # The ten states run as one list, one span per run inside it.
         batch_spans = [r for r in records if r.name == "engine.batch"]
         assert len(batch_spans) == 1
         assert batch_spans[0].attrs["runs"] == 10
+        run_spans = [r for r in records if r.name == "sim.run"]
+        assert len(run_spans) == 10
+        assert {r.parent for r in run_spans} == {batch_spans[0].index}
 
     def test_trace_flag_does_not_leak_enablement(self, capsys, tmp_path):
         run_cli(

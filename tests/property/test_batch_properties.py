@@ -1,10 +1,11 @@
-"""Property-based equivalence of the batch and serial engines.
+"""Property-based equivalence of run lists and single runs.
 
-The differential suite pins the curated workload families; these
-properties fuzz the demand space itself — arbitrary valid
-:class:`ResourceDemand` mixes on every builtin server must come out of
-the batch engine bit-identical to the serial simulator, and the batch
-result of a run must not depend on which other runs share the batch.
+The trace pins cover the curated workload families; these properties
+fuzz the demand space itself — arbitrary valid :class:`ResourceDemand`
+mixes on every builtin server must come out of ``run_batch``
+bit-identical to one ``Simulator.run`` per workload (bind errors
+included, in place), and the result of a run must not depend on which
+other runs share its list.
 """
 
 import numpy as np
