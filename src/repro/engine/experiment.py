@@ -12,6 +12,7 @@ bounds but does not eliminate — and returns per-program measurements.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,7 @@ from repro.errors import ConfigurationError
 from repro.metering.analysis import (
     DEFAULT_TRIM,
     TraceQuality,
+    check_trim,
     extract_window,
     repair_trace,
     trimmed_stats,
@@ -33,10 +35,8 @@ from repro.metering.csvlog import (
     merge_power_csvs,
     read_power_csv,
     read_power_csv_tolerant,
-    roundtrip_sample,
     write_power_csv,
 )
-from repro.metering.stream import StreamingWindow, WindowSpec
 from repro.units import energy_kj
 from repro.workloads.base import Workload
 
@@ -91,19 +91,26 @@ class CampaignResult:
 class Campaign:
     """Sequential execution of several workloads on one server.
 
+    The merged trace is analysed by the one metering chain
+    (:func:`~repro.metering.analysis.extract_window` →
+    :func:`~repro.metering.analysis.trimmed_stats`).  Parameters are
+    checked here, so a bad one raises
+    :class:`~repro.errors.ConfigurationError` before any run.
+
     Parameters
     ----------
     simulator:
         The engine to run on.
     gap_s:
         Idle seconds between consecutive programs (lets the meter trace
-        separate cleanly, as in the real procedure).
+        separate cleanly, as in the real procedure); finite and >= 0.
     clock_offset_s:
         Residual meter-PC clock offset after synchronisation; the meter's
         timestamps are shifted by it and the analysis corrects with the
         recorded offset, so a correct pipeline is insensitive to it.
+        Must be finite.
     trim:
-        Head/tail trim fraction for the averages.
+        Head/tail trim fraction for the averages, in ``[0, 0.5)``.
     repair:
         ``False`` (default) analyses the merged trace exactly as
         before — bit-identical to every prior release.  ``True`` routes
@@ -117,16 +124,6 @@ class Campaign:
         scheduled window (``[first start, last end)``) into the repair
         so dropouts at the very start or end of the trace count
         against coverage instead of silently shrinking the grid.
-    streaming:
-        ``True`` analyses the campaign online: every meter sample is
-        fed to a :class:`~repro.metering.stream.StreamingWindow`
-        pipeline *as it is generated* — through the same CSV
-        format/parse round trip the batch path takes — and the merged
-        CSV is produced by the streaming k-way merge, so the trace is
-        never materialised for analysis.  Measurements are
-        bit-identical to the batch path (the differential suite pins
-        this).  Incompatible with ``repair=True``: repair is a
-        whole-trace pass by construction.
     """
 
     def __init__(
@@ -136,22 +133,21 @@ class Campaign:
         clock_offset_s: float = 0.4,
         trim: float = DEFAULT_TRIM,
         repair: bool = False,
-        streaming: bool = False,
     ):
-        if gap_s < 0:
-            raise ConfigurationError("gap must be non-negative")
-        if streaming and repair:
+        if not (math.isfinite(gap_s) and gap_s >= 0):
             raise ConfigurationError(
-                "streaming analysis cannot repair: repair_trace needs the "
-                "whole trace (clock-skew and outlier scales are global); "
-                "run with repair=True on the batch path instead"
+                f"gap_s must be finite and non-negative, got {gap_s}"
             )
+        if not math.isfinite(clock_offset_s):
+            raise ConfigurationError(
+                f"clock_offset_s must be finite, got {clock_offset_s}"
+            )
+        check_trim(trim)
         self.simulator = simulator
         self.gap_s = gap_s
         self.clock_offset_s = clock_offset_s
         self.trim = trim
         self.repair = repair
-        self.streaming = streaming
 
     def run(
         self,
@@ -170,8 +166,6 @@ class Campaign:
         out_dir = Path(tmp.name) if own_tmp else Path(csv_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
-            if self.streaming:
-                return self._run_streaming(workloads, out_dir, own_tmp)
             runs: list[RunResult] = []
             csv_paths: list[Path] = []
             t = 0.0
@@ -281,84 +275,3 @@ class Campaign:
         finally:
             if tmp is not None:
                 tmp.cleanup()
-
-    def _run_streaming(
-        self,
-        workloads: "list[Workload]",
-        out_dir: Path,
-        own_tmp: bool,
-    ) -> CampaignResult:
-        """The online analysis path of :meth:`run`.
-
-        Each run's samples go through :func:`roundtrip_sample` — the
-        same quantisation the batch path picks up by writing and
-        re-parsing the CSV — then straight into the window pipeline, so
-        the per-program statistics are bit-identical to the batch
-        analysis of the merged file.  The merged CSV itself is still
-        produced (byte-identical, via the streaming merge) as the
-        campaign artifact.
-        """
-        pipeline = StreamingWindow(trim=self.trim)
-        runs: list[RunResult] = []
-        csv_paths: list[Path] = []
-        t = 0.0
-        with obs.timed(
-            "campaign.run",
-            server=self.simulator.server.name,
-            programs=len(workloads),
-        ):
-            for i, workload in enumerate(workloads):
-                with obs.span("campaign.segment", index=i):
-                    result = self.simulator.run(workload, t_start_s=t)
-                    runs.append(result)
-                    pipeline.add_window(
-                        WindowSpec(
-                            label=result.demand.program,
-                            start_s=result.t_start_s,
-                            end_s=result.t_end_s,
-                        )
-                    )
-                    csv_paths.append(
-                        write_power_csv(
-                            out_dir / f"segment_{i:03d}.csv",
-                            result.times_s + self.clock_offset_s,
-                            result.measured_watts,
-                        )
-                    )
-                    # Feed the samples as generated: meter time through
-                    # the CSV round trip, then back to server time —
-                    # float-for-float what the batch path reads.
-                    seg_times: list[float] = []
-                    seg_watts: list[float] = []
-                    for ts, w in zip(result.times_s, result.measured_watts):
-                        tm, wm = roundtrip_sample(
-                            ts + self.clock_offset_s, w
-                        )
-                        seg_times.append(tm - self.clock_offset_s)
-                        seg_watts.append(wm)
-                    pipeline.push_many(seg_times, seg_watts)
-                    t = result.t_end_s + self.gap_s
-
-            with obs.span("campaign.analysis"):
-                merged = merge_power_csvs(csv_paths, out_dir / "merged.csv")
-                measurements = []
-                for result, window in zip(runs, pipeline.finalize()):
-                    stats = window.stats
-                    measurements.append(
-                        ProgramMeasurement(
-                            label=result.demand.program,
-                            gflops=result.demand.gflops,
-                            average_watts=stats.mean,
-                            average_memory_mb=result.average_memory_mb(
-                                self.trim
-                            ),
-                            duration_s=result.duration_s,
-                        )
-                    )
-        return CampaignResult(
-            server=self.simulator.server.name,
-            measurements=tuple(measurements),
-            runs=tuple(runs),
-            merged_csv=None if own_tmp else merged,
-            quality=None,
-        )

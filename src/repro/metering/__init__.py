@@ -12,9 +12,9 @@ samples, and average (Section V-C2).  This package reproduces that chain:
 * :mod:`repro.metering.sampler` — the 1 s memory-usage sampler.
 * :mod:`repro.metering.analysis` — window extraction, 10 % trimming,
   averages, and PPW assembly.
-* :mod:`repro.metering.stream` — the same analysis chain folded over a
-  live sample stream: O(window) memory, finalised results bit-identical
-  to the batch pipeline (see docs/metering.md).
+* :mod:`repro.metering.stream` — chunk buffers that feed a live sample
+  stream to that same chain, window by window, releasing each closed
+  window (see docs/metering.md).
 """
 
 from repro.metering.meter import MeterSpec, Wt210Meter, WT210
@@ -30,10 +30,10 @@ from repro.metering.analysis import (
     extract_window,
     trimmed_mean,
     trimmed_stats,
+    window_mask,
 )
 from repro.metering.stream import (
     StreamingFeatures,
-    StreamingStats,
     StreamingTrim,
     StreamingWindow,
     WindowResult,
@@ -53,8 +53,8 @@ __all__ = [
     "extract_window",
     "trimmed_mean",
     "trimmed_stats",
+    "window_mask",
     "StreamingFeatures",
-    "StreamingStats",
     "StreamingTrim",
     "StreamingWindow",
     "WindowResult",

@@ -28,6 +28,8 @@ from repro import obs
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "window_mask",
+    "check_trim",
     "extract_window",
     "trimmed_mean",
     "trimmed_stats",
@@ -54,6 +56,21 @@ DEFAULT_MIN_COVERAGE: float = 0.5
 #: below any meter's sample period, far above float64 rounding noise at
 #: campaign time scales (the spacing of float64 at 1e5 s is ~1.5e-11 s).
 EDGE_TOLERANCE_S: float = 1e-9
+
+
+def window_mask(
+    times_s: np.ndarray,
+    start_s: float,
+    end_s: float,
+    edge_tolerance_s: float = EDGE_TOLERANCE_S,
+) -> np.ndarray:
+    """Boolean mask of the timestamps in ``[start_s, end_s)``.
+
+    The window rule of :func:`extract_window`, both edges snapped by
+    ``edge_tolerance_s``; a NaN timestamp is in no window.
+    """
+    tol = float(edge_tolerance_s)
+    return (times_s >= start_s - tol) & (times_s < end_s - tol)
 
 
 def extract_window(
@@ -94,9 +111,7 @@ def extract_window(
         raise ConfigurationError(
             f"window must be non-empty: [{start_s}, {end_s})"
         )
-    tol = float(edge_tolerance_s)
-    mask = (times_s >= start_s - tol) & (times_s < end_s - tol)
-    return values[mask]
+    return values[window_mask(times_s, start_s, end_s, edge_tolerance_s)]
 
 
 def trimmed_mean(values: np.ndarray, trim: float = DEFAULT_TRIM) -> float:
@@ -133,6 +148,12 @@ class TrimmedStats:
         return self.n_total - self.n_used
 
 
+def check_trim(trim: float) -> None:
+    """Reject a trim fraction outside ``[0, 0.5)`` (NaN included)."""
+    if not 0.0 <= trim < 0.5:
+        raise ConfigurationError(f"trim must be in [0, 0.5), got {trim}")
+
+
 def trimmed_stats(
     values: np.ndarray, trim: float = DEFAULT_TRIM, ddof: int = 0
 ) -> TrimmedStats:
@@ -160,8 +181,7 @@ def trimmed_stats(
     untrimmed statistics are exact, just untrimmed (``n_used ==
     n_total`` says so).
     """
-    if not 0.0 <= trim < 0.5:
-        raise ConfigurationError(f"trim must be in [0, 0.5), got {trim}")
+    check_trim(trim)
     if ddof < 0:
         raise ConfigurationError(f"ddof must be >= 0, got {ddof}")
     values = np.asarray(values, dtype=float).ravel()

@@ -29,7 +29,6 @@ __all__ = [
     "read_power_csv_tolerant",
     "iter_power_csv",
     "merge_power_csvs",
-    "roundtrip_sample",
     "CsvReadReport",
     "PowerCsvWriter",
     "HEADER",
@@ -38,10 +37,7 @@ __all__ = [
 
 HEADER: tuple[str, str] = ("time_s", "power_w")
 
-#: Format specs every row goes through.  Public because the streaming
-#: campaign path must reproduce the *written-then-parsed* values without
-#: a file in between (see :func:`roundtrip_sample`) — keeping the specs
-#: in one place keeps the two paths from drifting.
+#: Format specs every row goes through.
 TIME_FORMAT = ".3f"
 POWER_FORMAT = ".2f"
 
@@ -49,25 +45,12 @@ POWER_FORMAT = ".2f"
 DEFAULT_CHUNK_SIZE = 4096
 
 
-def roundtrip_sample(t: float, w: float) -> tuple[float, float]:
-    """The value a sample has after one CSV write+read round trip.
-
-    The batch pipeline logs ``f"{t:.3f}", f"{w:.2f}"`` and parses the
-    strings back; the streaming campaign path feeds samples to the
-    pipeline *as generated*, so it applies the identical format/parse
-    here — that float quantisation is part of the measurement, and
-    skipping it would break bit-identity with the batch analysis.
-    """
-    return float(f"{t:{TIME_FORMAT}}"), float(f"{w:{POWER_FORMAT}}")
-
-
 class PowerCsvWriter:
     """Incremental WTViewer-style CSV writer (context manager).
 
     Writes the header on open and rows on :meth:`write`, producing
     byte-identical files to :func:`write_power_csv` without ever holding
-    the trace — the streaming merge and campaign paths append one
-    chunk at a time.
+    the trace — the streaming merge appends one chunk at a time.
     """
 
     def __init__(self, path: "str | Path") -> None:

@@ -1,46 +1,28 @@
-"""Online (streaming) metering: window routing, trim, stats, features.
+"""Streaming metering: chunk buffers over the batch analysis chain.
 
-The batch analysis chain (Section V-C2) — :func:`extract_window` →
-:func:`trimmed_stats` → regression-feature collection — needs the whole
-trace in memory.  This module is the same chain folded over a live
-1 Hz sample stream, the substrate ROADMAP item 5(a) names: samples are
-consumed incrementally, closed windows are summarised and released, and
-peak memory is O(window), not O(trace) (``bench_stream_metering.py``
-gates this with ``tracemalloc``).
+The paper analyses a trace with one pipeline (Section V-C2): cut each
+program's window, drop the first and last 10 %, average.  That pipeline
+lives in :mod:`repro.metering.analysis` as :func:`window_mask` →
+:func:`trimmed_stats`.  The accumulators here accept the trace in
+chunks as it arrives, buffer each window's samples, and hand them to
+those same functions when the window closes — so finalised results are
+bit-identical to the batch chain by construction, not by a parallel
+implementation.
 
-Bit-identity contract
----------------------
-Finalised results are **bit-identical** to the batch pipeline, which is
-only possible because the accumulators are *positional*, like the batch
-trim:
-
-* :class:`StreamingTrim` drops head samples as soon as they are
-  guaranteed trimmed (``position < int(n_seen * trim)`` can only grow),
-  retains the undecided middle+tail, and at close assembles exactly the
-  samples ``trimmed_stats`` would have kept — then applies the very same
-  numpy reduction.  numpy's pairwise summation means a running
-  Welford/Kahan mean can *never* bit-match ``ndarray.mean()``; retaining
-  the kept window (which is O(window)) and reducing it once is what
-  makes the contract exact rather than approximate.
-* :class:`StreamingWindow` uses the same half-open
-  ``[start - tol, end - tol)`` edge snapping as :func:`extract_window`,
-  so a sample lands in exactly the windows the batch mask would pick.
-* :class:`StreamingStats` (Kahan-compensated Welford) is the O(1)/sample
-  *live estimate* — exact under any chunking of the same sample order
-  (the property suite pins this), but only approximately equal to the
-  batch mean; use the finalised :class:`TrimmedStats` for reported
-  numbers.
-
-The differential suite (``tests/metering/test_stream_differential.py``)
-proves the finalised results bit-identical on clean grids, repaired
-traces, and degenerate/fallback windows.
+* :class:`StreamingTrim` buffers one window's chunks and returns
+  ``trimmed_stats`` of their concatenation.
+* :class:`StreamingWindow` routes each chunk into its program windows
+  with ``window_mask`` and releases a window's buffer once the stream
+  has passed its end, so peak memory is O(open windows), not O(trace)
+  (``bench_stream_metering.py`` gates this with ``tracemalloc``).
+* :class:`StreamingFeatures` buffers a run's PMU rows and power chunks
+  and pairs them per PMU interval at close.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +33,12 @@ from repro.metering.analysis import (
     DEFAULT_TRIM,
     EDGE_TOLERANCE_S,
     TrimmedStats,
+    check_trim,
+    trimmed_stats,
+    window_mask,
 )
 
 __all__ = [
-    "StreamingStats",
     "StreamingTrim",
     "StreamingWindow",
     "StreamingFeatures",
@@ -63,155 +47,35 @@ __all__ = [
 ]
 
 
-class StreamingStats:
-    """O(1)-per-sample running mean/std (Welford with Kahan compensation).
-
-    The live-estimate half of the pipeline: its ``mean``/``std`` agree
-    with numpy to ~1 ulp-scale error but are **not** bit-identical to
-    ``ndarray.mean()`` (numpy sums pairwise; no running accumulator can
-    reproduce that association order one sample at a time).  What *is*
-    exact: folding the same samples in the same order through any
-    chunking yields bit-identical accumulator state — ``push_many`` is
-    defined as per-sample ``push``, so chunk boundaries cannot matter.
-    """
-
-    __slots__ = ("n", "_mean", "_mean_c", "_m2", "_m2_c")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._mean_c = 0.0  # Kahan compensation for the mean
-        self._m2 = 0.0
-        self._m2_c = 0.0  # Kahan compensation for M2
-
-    def push(self, value: float) -> None:
-        """Fold one sample into the accumulator."""
-        value = float(value)
-        self.n += 1
-        delta = value - self._mean
-        # Kahan-compensated `mean += delta / n`.
-        term = delta / self.n - self._mean_c
-        total = self._mean + term
-        self._mean_c = (total - self._mean) - term
-        self._mean = total
-        # Kahan-compensated `m2 += delta * (value - mean_new)`.
-        term = delta * (value - self._mean) - self._m2_c
-        total = self._m2 + term
-        self._m2_c = (total - self._m2) - term
-        self._m2 = total
-
-    def push_many(self, values: np.ndarray) -> None:
-        """Fold a chunk; defined as per-sample pushes (chunk-invariant)."""
-        for value in np.asarray(values, dtype=float).ravel():
-            self.push(value)
-
-    @property
-    def mean(self) -> float:
-        """Running mean (0.0 before any sample)."""
-        return self._mean if self.n else 0.0
-
-    def std(self, ddof: int = 0) -> float:
-        """Running standard deviation (NaN when ``n <= ddof``)."""
-        if ddof < 0:
-            raise ConfigurationError(f"ddof must be >= 0, got {ddof}")
-        if self.n <= ddof:
-            return float("nan")
-        return math.sqrt(max(self._m2, 0.0) / (self.n - ddof))
-
-
 class StreamingTrim:
-    """Positional head/tail trim over a stream, exact at close.
+    """One window's samples, buffered by chunk and trimmed at close."""
 
-    Mirrors :func:`trimmed_stats`: after ``n`` samples the batch path
-    keeps ``values[cut : n - cut]`` with ``cut = int(n * trim)``.  Since
-    ``int(n * trim)`` is non-decreasing in ``n``, a head sample at
-    position ``p`` is *guaranteed* trimmed once ``p < int(n_seen *
-    trim)`` — it is dropped from the deque the moment that holds, so the
-    buffer holds only the undecided middle plus the (ring-buffer-sized,
-    ``<= ceil(n*trim) + 1``) tail that the close will cut.
-
-    :meth:`finalize` assembles the kept samples into a float64 array and
-    applies the identical numpy reductions ``trimmed_stats`` uses —
-    same values, same order, same pairwise summation — so the returned
-    :class:`TrimmedStats` is bit-identical to the batch result,
-    degenerate/fallback windows included.  ``live`` carries the
-    :class:`StreamingStats` running estimate over *all* samples.
-    """
-
-    __slots__ = ("trim", "ddof", "live", "_buffer", "_n", "_head_dropped")
+    __slots__ = ("trim", "ddof", "_chunks", "_n")
 
     def __init__(self, trim: float = DEFAULT_TRIM, ddof: int = 0) -> None:
-        if not 0.0 <= trim < 0.5:
-            raise ConfigurationError(f"trim must be in [0, 0.5), got {trim}")
+        check_trim(trim)
         if ddof < 0:
             raise ConfigurationError(f"ddof must be >= 0, got {ddof}")
         self.trim = float(trim)
         self.ddof = int(ddof)
-        self.live = StreamingStats()
-        self._buffer: deque[float] = deque()
+        self._chunks: list[np.ndarray] = []
         self._n = 0
-        self._head_dropped = 0
 
     @property
     def n_seen(self) -> int:
         """Samples pushed so far."""
         return self._n
 
-    @property
-    def n_buffered(self) -> int:
-        """Samples currently retained (the O(window) footprint)."""
-        return len(self._buffer)
-
-    def push(self, value: float) -> None:
-        """Accept one sample in stream order."""
-        value = float(value)
-        self._n += 1
-        self._buffer.append(value)
-        self.live.push(value)
-        # Head samples the final cut can no longer keep are released
-        # immediately: cut = int(n * trim) only grows with n.
-        guaranteed = int(self._n * self.trim)
-        while self._head_dropped < guaranteed:
-            self._buffer.popleft()
-            self._head_dropped += 1
-
     def push_many(self, values: np.ndarray) -> None:
         """Accept a chunk of samples in stream order."""
-        for value in np.asarray(values, dtype=float).ravel():
-            self.push(value)
+        chunk = np.array(values, dtype=float).ravel()
+        self._chunks.append(chunk)
+        self._n += chunk.size
 
     def finalize(self) -> TrimmedStats:
-        """Close the window: the batch ``trimmed_stats``, bit for bit."""
-        n = self._n
-        if n == 0:
-            raise ConfigurationError("cannot summarise an empty window")
-        cut = int(n * self.trim)
-        # Invariant: push() already dropped exactly `cut` head samples.
-        assert self._head_dropped == cut
-        kept = list(self._buffer)
-        if cut:
-            kept = kept[: len(kept) - cut]
-        fallback = False
-        if not kept:  # defensive: unreachable for trim < 0.5, like batch
-            middle = n // 2 - cut
-            kept = [list(self._buffer)[middle]]
-            fallback = True
-        values = np.asarray(kept, dtype=float)
-        if values.size <= self.ddof:
-            raise ConfigurationError(
-                f"ddof={self.ddof} needs more than {self.ddof} surviving "
-                f"samples, got {values.size}"
-            )
-        if values.size == 1:
-            fallback = True
-        return TrimmedStats(
-            mean=float(values.mean()),
-            std=float(values.std(ddof=self.ddof)),
-            n_total=int(n),
-            n_used=int(values.size),
-            ddof=int(self.ddof),
-            fallback=fallback,
-        )
+        """Close the window: :func:`trimmed_stats` of every sample pushed."""
+        values = np.concatenate(self._chunks) if self._chunks else []
+        return trimmed_stats(values, self.trim, self.ddof)
 
 
 @dataclass(frozen=True)
@@ -238,21 +102,20 @@ class WindowResult:
 
 
 class StreamingWindow:
-    """Routes a live sample stream into per-program trimmed windows.
+    """Routes a chunked sample stream into per-program trimmed windows.
 
-    Membership uses the identical edge snapping as
-    :func:`extract_window`: a sample at ``t`` belongs to window ``w``
-    iff ``t >= w.start_s - tol and t < w.end_s - tol`` — order- and
-    chunk-independent, so any interleaving of pushes yields the same
-    window contents as the batch mask over the full trace.
+    Each chunk is split across the open windows with :func:`window_mask`
+    — the rule :func:`extract_window` applies — so a window receives, in
+    arrival order, exactly the samples the batch mask would pick.
 
     Windows must be registered in non-decreasing ``start_s`` order
-    (:meth:`add_window`), matching how a campaign schedules runs.  A
-    window is finalised eagerly once the stream's high-water mark passes
-    ``end_s + tol`` — beyond that point a sample within the reorder
-    tolerance can no longer fall inside it — or at :meth:`finalize`.
-    Samples arriving for already-finalised windows are counted
-    (``late_samples``), never raised.
+    (:meth:`add_window`), matching how a campaign schedules runs.  After
+    each chunk the stream's watermark (its largest finite timestamp so
+    far) is raised, and every window whose ``end_s + tol`` it has passed
+    is finalised: no later sample within the edge tolerance can fall
+    inside it.  :meth:`finalize` closes the rest.  Samples that arrive
+    for an already-finalised window are counted (``late_samples``),
+    never raised.
     """
 
     def __init__(
@@ -260,15 +123,12 @@ class StreamingWindow:
         trim: float = DEFAULT_TRIM,
         ddof: int = 0,
         edge_tolerance_s: float = EDGE_TOLERANCE_S,
-        on_finalize=None,
     ) -> None:
-        if not 0.0 <= trim < 0.5:
-            raise ConfigurationError(f"trim must be in [0, 0.5), got {trim}")
+        check_trim(trim)
         self.trim = float(trim)
         self.ddof = int(ddof)
         self.tol = float(edge_tolerance_s)
-        self.on_finalize = on_finalize
-        self._windows: list[tuple[WindowSpec, StreamingTrim]] = []
+        self._windows: list[tuple[WindowSpec, StreamingTrim | None]] = []
         self._first_open = 0
         self._results: list[WindowResult] = []
         self._watermark = -math.inf
@@ -294,30 +154,11 @@ class StreamingWindow:
     @property
     def n_buffered(self) -> int:
         """Samples retained across all open windows (memory footprint)."""
-        return sum(
-            acc.n_buffered for _, acc in self._windows[self._first_open :]
-        )
+        return sum(acc.n_seen for _, acc in self._windows[self._first_open :])
 
     def push(self, t: float, value: float) -> None:
         """Route one timestamped sample."""
-        t = float(t)
-        routed = False
-        windows = self._windows
-        i = self._first_open
-        while i < len(windows):
-            spec, acc = windows[i]
-            if t < spec.start_s - self.tol:
-                break  # starts are sorted; later windows begin later
-            if t < spec.end_s - self.tol:
-                acc.push(value)
-                routed = True
-            i += 1
-        if not routed and t < self._finalized_horizon - self.tol:
-            self.late_samples += 1
-            obs.inc("stream.late_samples")
-        if t > self._watermark:
-            self._watermark = t
-            self._close_passed()
+        self.push_many([t], [value])
 
     def push_many(self, times_s: np.ndarray, values: np.ndarray) -> None:
         """Route a chunk of timestamped samples in stream order."""
@@ -328,8 +169,27 @@ class StreamingWindow:
                 f"times and values must align: {times_s.shape} vs "
                 f"{values.shape}"
             )
-        for t, value in zip(times_s, values):
-            self.push(t, value)
+        finite = times_s[np.isfinite(times_s)]
+        top = float(finite.max()) if finite.size else -math.inf
+        routed = np.zeros(times_s.shape, dtype=bool)
+        for spec, acc in self._windows[self._first_open :]:
+            if top < spec.start_s - self.tol:
+                break  # starts are sorted; later windows begin later
+            mask = window_mask(times_s, spec.start_s, spec.end_s, self.tol)
+            if mask.any():
+                acc.push_many(values[mask])
+                routed |= mask
+        late = int(
+            np.count_nonzero(
+                ~routed & (times_s < self._finalized_horizon - self.tol)
+            )
+        )
+        if late:
+            self.late_samples += late
+            obs.inc("stream.late_samples", float(late))
+        if top > self._watermark:
+            self._watermark = top
+            self._close_passed()
         obs.inc("stream.samples", float(times_s.size))
         obs.set_gauge("stream.depth", float(self.n_buffered))
 
@@ -344,29 +204,21 @@ class StreamingWindow:
     def _finalize_first(self) -> None:
         spec, acc = self._windows[self._first_open]
         started = time.perf_counter()
-        try:
-            stats = acc.finalize()
-        except ConfigurationError:
-            # An empty window is the batch ConfigurationError; streaming
-            # reports it as a result-less window instead of aborting the
-            # stream mid-flight.
-            stats = None
         self._windows[self._first_open] = (spec, None)  # release buffer
         self._first_open += 1
         self._finalized_horizon = max(self._finalized_horizon, spec.end_s)
-        if stats is None:
+        if not acc.n_seen:
+            # The batch chain raises on an empty window; the stream
+            # releases it first, so the caller may carry on.
             raise ConfigurationError(
                 f"window {spec.label!r} [{spec.start_s}, {spec.end_s}) "
                 "closed with no samples"
             )
-        result = WindowResult(spec=spec, stats=stats)
-        self._results.append(result)
+        self._results.append(WindowResult(spec=spec, stats=acc.finalize()))
         obs.observe(
             "stream.finalize_seconds", time.perf_counter() - started
         )
         obs.inc("stream.windows_finalized")
-        if self.on_finalize is not None:
-            self.on_finalize(result)
 
     @property
     def results(self) -> list[WindowResult]:
@@ -380,26 +232,25 @@ class StreamingWindow:
         obs.set_gauge("stream.depth", 0.0)
         return self.results
 
-    def stats_by_label(self) -> dict[str, TrimmedStats]:
-        """Finalised stats keyed by window label (last wins on repeats)."""
-        return {r.spec.label: r.stats for r in self._results}
+
+def _pmu_vector(sample) -> np.ndarray:
+    """A PMU sample (object with ``as_vector()``) or vector, as float64."""
+    if hasattr(sample, "as_vector"):
+        return sample.as_vector()
+    return np.asarray(sample, dtype=float)
 
 
 class StreamingFeatures:
-    """Accumulates the regression features without holding the trace.
+    """Buffers one run's PMU rows and power chunks for the regression.
 
     Batch equivalents (and the bit-identity targets):
 
     * ``collect_hpcc_training`` pairs PMU sample ``k`` with
-      ``measured_watts[k*interval : (k+1)*interval].mean()`` — here the
-      power stream fills one ``interval``-sized buffer at a time, each
-      reduced (by the same ``ndarray.mean()``) and released when its
-      interval completes, so at most one interval of samples is ever
-      held.
+      ``measured_watts[k*interval : (k+1)*interval].mean()`` —
+      :meth:`finalize` applies that slice reduction to the buffered
+      power.
     * ``collect_npb_features`` uses ``run.pmu_matrix().mean(axis=0)`` —
       :meth:`pmu_mean` stacks the pushed PMU vectors identically.
-
-    PMU rows are tiny (six floats per 10 s); they are retained.
     """
 
     def __init__(self, interval: int = 10) -> None:
@@ -408,77 +259,41 @@ class StreamingFeatures:
                 f"interval must be >= 1 sample, got {interval}"
             )
         self.interval = int(interval)
-        self._pmu_rows: list[np.ndarray] = []
-        self._power_means: list[float] = []
-        self._current: list[float] = []
-        self._n_power = 0
-
-    @property
-    def n_power(self) -> int:
-        """Power samples pushed so far."""
-        return self._n_power
-
-    @property
-    def n_pmu(self) -> int:
-        """PMU vectors pushed so far."""
-        return len(self._pmu_rows)
-
-    def push_power(self, value: float) -> None:
-        """Accept one 1 Hz power sample in stream order."""
-        if self._n_power and self._n_power % self.interval == 0:
-            self._close_interval()
-        self._current.append(float(value))
-        self._n_power += 1
+        self._pmu: list = []
+        self._power: list[np.ndarray] = []
 
     def push_power_many(self, values: np.ndarray) -> None:
-        """Accept a chunk of power samples in stream order."""
-        for value in np.asarray(values, dtype=float).ravel():
-            self.push_power(value)
-
-    def _close_interval(self) -> None:
-        window = np.asarray(self._current, dtype=float)
-        self._power_means.append(float(window.mean()))
-        self._current = []
-
-    def push_pmu(self, sample) -> None:
-        """Accept one PMU sample (object with ``as_vector()``) or vector."""
-        vector = (
-            sample.as_vector()
-            if hasattr(sample, "as_vector")
-            else np.asarray(sample, dtype=float)
-        )
-        self._pmu_rows.append(np.asarray(vector, dtype=float))
+        """Accept a chunk of 1 Hz power samples in stream order."""
+        self._power.append(np.array(values, dtype=float).ravel())
 
     def push_pmu_many(self, samples) -> None:
-        """Accept a sequence of PMU samples/vectors."""
-        for sample in samples:
-            self.push_pmu(sample)
+        """Accept a sequence of PMU samples (``as_vector()``) or vectors."""
+        self._pmu.extend(samples)
+
+    def _pmu_rows(self, n: int) -> np.ndarray:
+        return np.vstack([_pmu_vector(s) for s in self._pmu[:n]])
 
     def pmu_mean(self) -> np.ndarray:
         """Column means of the stacked PMU rows (npb feature row)."""
-        if not self._pmu_rows:
+        if not self._pmu:
             raise ConfigurationError("no PMU samples accumulated")
-        return np.vstack(self._pmu_rows).mean(axis=0)
+        return self._pmu_rows(len(self._pmu)).mean(axis=0)
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray]:
         """Pair PMU rows with their interval power means (hpcc rows).
 
         Returns ``(features, power)`` exactly as the batch inner loop of
         ``collect_hpcc_training`` builds them: PMU sample ``k`` pairs
-        with interval ``k``'s mean, intervals with no power samples are
-        skipped, and surplus power beyond the PMU rows is ignored.
+        with interval ``k``'s mean, PMU rows past the last (possibly
+        partial) power interval are skipped, and surplus power beyond
+        the PMU rows is ignored.
         """
-        if self._current:
-            self._close_interval()
-        rows: list[np.ndarray] = []
-        power: list[float] = []
-        for k, row in enumerate(self._pmu_rows):
-            if k >= len(self._power_means):
-                continue
-            rows.append(row)
-            power.append(self._power_means[k])
-        if not rows:
+        power = np.concatenate(self._power) if self._power else np.empty(0)
+        width = self.interval
+        n = min(len(self._pmu), -(-power.size // width))
+        if n == 0:
             raise ConfigurationError(
                 "no PMU/power interval pairs accumulated"
             )
-        return np.vstack(rows), np.asarray(power, dtype=float)
+        means = [power[k * width : (k + 1) * width].mean() for k in range(n)]
+        return self._pmu_rows(n), np.asarray(means, dtype=float)

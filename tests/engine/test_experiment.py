@@ -85,6 +85,26 @@ class TestPipeline:
         with pytest.raises(ConfigurationError):
             Campaign(sim_e5462, gap_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("gap_s", float("nan")),
+            ("gap_s", float("inf")),
+            ("clock_offset_s", float("nan")),
+            ("clock_offset_s", float("inf")),
+            ("clock_offset_s", float("-inf")),
+            ("trim", 0.5),
+            ("trim", 0.6),
+            ("trim", -0.1),
+            ("trim", float("nan")),
+        ],
+    )
+    def test_bad_parameter_rejected_before_any_run(
+        self, sim_e5462, name, value
+    ):
+        with pytest.raises(ConfigurationError, match=name):
+            Campaign(sim_e5462, **{name: value})
+
 
 class TestRepairPath:
     """``Campaign(repair=True)``: validated analysis, same numbers."""
@@ -114,28 +134,3 @@ class TestRepairPath:
         assert result.merged_csv is not None
         assert result.quality is not None
         assert not result.quality.quarantined
-
-
-class TestStreamingPath:
-    """``Campaign(streaming=True)``: online analysis, same numbers."""
-
-    def test_streaming_matches_batch_measurements(self, e5462):
-        batch = Campaign(Simulator(e5462, seed=77), gap_s=10.0)
-        stream = Campaign(
-            Simulator(e5462, seed=77), gap_s=10.0, streaming=True
-        )
-        assert (
-            stream.run(ep_series()).measurements
-            == batch.run(ep_series()).measurements
-        )
-
-    def test_streaming_writes_same_artifacts(self, e5462, tmp_path):
-        campaign = Campaign(Simulator(e5462, seed=1), streaming=True)
-        result = campaign.run([NpbWorkload("ep", "C", 2)], csv_dir=tmp_path)
-        assert result.merged_csv == tmp_path / "merged.csv"
-        assert (tmp_path / "segment_000.csv").exists()
-        assert result.quality is None
-
-    def test_streaming_cannot_repair(self, sim_e5462):
-        with pytest.raises(ConfigurationError):
-            Campaign(sim_e5462, streaming=True, repair=True)

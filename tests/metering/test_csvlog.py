@@ -163,19 +163,6 @@ class TestPowerCsvWriter:
                 writer.write(t, w)
         assert inc.read_bytes() == batch.read_bytes()
 
-    def test_roundtrip_sample_matches_file_roundtrip(self, tmp_path):
-        from repro.metering.csvlog import roundtrip_sample
-
-        rng = np.random.default_rng(3)
-        times = np.sort(rng.uniform(0, 500, 50))
-        watts = rng.uniform(50, 400, 50)
-        path = write_power_csv(tmp_path / "a.csv", times, watts)
-        t_read, w_read = read_power_csv(path)
-        for i in range(50):
-            t, w = roundtrip_sample(times[i], watts[i])
-            assert t == t_read[i]
-            assert w == w_read[i]
-
 
 class TestStreamingMerge:
     @staticmethod
